@@ -6,7 +6,9 @@ type cycle = { members : int list; length : int; distance : int }
    this repository are small (< 150 nodes) and have few cycles, so the
    classic Johnson blocking machinery is unnecessary; a global cap keeps
    adversarial inputs (property tests) bounded. *)
-let recurrence_cycles ?(max_cycles = 4096) g =
+let default_max_cycles = 4096
+
+let enumerate_cycles ?(max_cycles = default_max_cycles) g =
   let found = ref [] in
   let count = ref 0 in
   let latency id = Op.latency (Graph.node g id).op in
@@ -44,8 +46,73 @@ let cycle_mii c =
   if c.distance <= 0 then invalid_arg "Analysis.cycle_mii: zero-distance cycle";
   (c.length + c.distance - 1) / c.distance
 
-let rec_mii g =
-  List.fold_left (fun acc c -> max acc (cycle_mii c)) 1 (recurrence_cycles g)
+let dedup ids = List.sort_uniq compare ids
+
+(* Everything derived from one cycle enumeration.  The derived facts
+   cost a few list passes over the cycles, far less than the DFS, so
+   they are computed with it rather than on demand. *)
+type facts = {
+  graph : Graph.t;
+  max_cycles : int;
+  cycles : cycle list;
+  rec_mii : int;
+  critical : int list;
+  secondary : int list;
+}
+
+let compute_facts ~max_cycles g =
+  let cycles = enumerate_cycles ~max_cycles g in
+  let rec_mii = List.fold_left (fun acc c -> max acc (cycle_mii c)) 1 cycles in
+  let critical =
+    cycles
+    |> List.filter (fun c -> cycle_mii c = rec_mii)
+    |> List.concat_map (fun c -> c.members)
+    |> dedup
+  in
+  let secondary =
+    match cycles with
+    | [] -> []
+    | _ ->
+      let longest = List.fold_left (fun acc c -> max acc c.length) 0 cycles in
+      cycles
+      |> List.filter (fun c -> c.length * 2 <= longest)
+      |> List.concat_map (fun c -> c.members)
+      |> List.filter (fun id -> not (List.mem id critical))
+      |> dedup
+  in
+  { graph = g; max_cycles; cycles; rec_mii; critical; secondary }
+
+(* A most-recently-used memo of [facts], one per domain so lookups
+   need no lock.  [Graph.t] is persistent, so a physically identical
+   graph has identical cycles and [==] is a sound key; an entry holds
+   its graph alive, so the address cannot be reused while it is
+   listed.  The mapper asks about the same graph a few dozen times per
+   [Mapper.map] and callers work through kernels one at a time, so a
+   handful of entries catches almost every repeat; the cap keeps a
+   long-running process that sees thousands of distinct graphs (rand
+   kernels in the daemon) from retaining them.  Systhreads sharing a
+   domain can at worst drop an entry, costing a recomputation. *)
+let memo_capacity = 16
+
+let memo : facts list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
+
+let facts ?(max_cycles = default_max_cycles) g =
+  let entries = Domain.DLS.get memo in
+  match !entries with
+  | f :: _ when f.graph == g && f.max_cycles = max_cycles -> f
+  | listed -> (
+    match List.find_opt (fun f -> f.graph == g && f.max_cycles = max_cycles) listed with
+    | Some f ->
+      entries := f :: List.filter (fun e -> e != f) listed;
+      f
+    | None ->
+      let f = compute_facts ~max_cycles g in
+      entries := f :: List.filteri (fun i _ -> i < memo_capacity - 1) listed;
+      f)
+
+let recurrence_cycles ?max_cycles g = (facts ?max_cycles g).cycles
+
+let rec_mii g = (facts g).rec_mii
 
 let res_mii g ~tiles =
   if tiles <= 0 then invalid_arg "Analysis.res_mii: tiles must be positive";
@@ -53,28 +120,9 @@ let res_mii g ~tiles =
 
 let min_ii g ~tiles = max (rec_mii g) (res_mii g ~tiles)
 
-let dedup ids = List.sort_uniq compare ids
+let critical_nodes g = (facts g).critical
 
-let critical_nodes g =
-  let cycles = recurrence_cycles g in
-  let mii = List.fold_left (fun acc c -> max acc (cycle_mii c)) 1 cycles in
-  cycles
-  |> List.filter (fun c -> cycle_mii c = mii)
-  |> List.concat_map (fun c -> c.members)
-  |> dedup
-
-let secondary_cycle_nodes g =
-  let cycles = recurrence_cycles g in
-  match cycles with
-  | [] -> []
-  | _ ->
-    let longest = List.fold_left (fun acc c -> max acc c.length) 0 cycles in
-    let critical = critical_nodes g in
-    cycles
-    |> List.filter (fun c -> c.length * 2 <= longest)
-    |> List.concat_map (fun c -> c.members)
-    |> List.filter (fun id -> not (List.mem id critical))
-    |> dedup
+let secondary_cycle_nodes g = (facts g).secondary
 
 let asap g =
   match Graph.intra_topological g with

@@ -55,10 +55,9 @@ let remove_node g id =
 
 let node_count g = Int_map.cardinal g.nodes
 
-let edges g =
-  Int_map.fold (fun _ es acc -> acc @ es) g.succ []
+let edges g = List.rev (Int_map.fold (fun _ es acc -> List.rev_append es acc) g.succ [])
 
-let edge_count g = List.length (edges g)
+let edge_count g = Int_map.fold (fun _ es acc -> acc + List.length es) g.succ 0
 
 let nodes g = List.map snd (Int_map.bindings g.nodes)
 

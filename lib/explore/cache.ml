@@ -41,9 +41,7 @@ let locked t f =
 (* keys                                                                *)
 
 let key ?(backend = "default") (p : Space.point) (kernel : Iced_kernels.Kernel.t) =
-  let nodes, edges, rec_mii =
-    Iced_kernels.Kernel.stats (Iced_kernels.Kernel.dfg_at kernel ~factor:p.Space.unroll)
-  in
+  let nodes, edges, rec_mii = Iced_kernels.Kernel.stats_at kernel ~factor:p.Space.unroll in
   let base =
     Printf.sprintf "%s|%s|%d,%d,%d" (Space.to_string p) kernel.Iced_kernels.Kernel.name
       nodes edges rec_mii

@@ -21,6 +21,9 @@ type table_stats = {
 }
 (** The six statistics columns of Table I. *)
 
+type memo
+(** Compute-once slots behind {!dfg_at} and {!stats_at}. *)
+
 type t = {
   name : string;
   domain : domain;
@@ -36,16 +39,35 @@ type t = {
   table : table_stats;
   binding : Iced_sim.Sim.binding;
   iterations : int;  (** loop trip count implied by the data size *)
+  memo : memo;
+      (** derived facts, filled on first use; build kernels with
+          {!make} only, since a record copied with [{ k with dfg = ... }]
+          would share the original's slots *)
 }
 
 val domain_to_string : domain -> string
 
 val dfg_at : t -> factor:int -> Graph.t
 (** [factor] 1 or 2: the DFG actually mapped.  @raise Invalid_argument
-    otherwise. *)
+    otherwise.
+
+    The factor-2 graph is unrolled at most once per kernel record and
+    shared: every call returns the physically same graph, so the
+    {!Iced_dfg.Analysis} memo, keyed on graph identity, also hits
+    across calls.  The slot is an [Atomic] and safe to fill from
+    several domains at once (a loser of the race returns the winner's
+    graph).  It lives and dies with the record: kernels built on demand
+    (e.g. [rand<n>x<seed>] from [Registry.by_name]) retain nothing once
+    dropped. *)
 
 val stats : Graph.t -> int * int * int
 (** (nodes, edges, RecMII) of a DFG. *)
+
+val stats_at : t -> factor:int -> int * int * int
+(** [stats (dfg_at k ~factor)], computed at most once per kernel
+    record and factor, with the same sharing and domain safety as
+    {!dfg_at}.  @raise Invalid_argument on a factor other than 1 or
+    2. *)
 
 val make :
   name:string ->

@@ -48,10 +48,15 @@ let label ?(floor = Dvfs.Rest) ?(guard = 0) g ~cgra ~tiles ~ii =
     (slots + island_slots - 1) / island_slots
   in
   (* Grey nodes, most slack first: nodes far off the critical paths are
-     the best candidates for the lowest level. *)
+     the best candidates for the lowest level.  Slack is tabulated once:
+     the sort below asks for it O(n log n) times. *)
   let slack =
-    let asap = Analysis.asap g and alap = Analysis.alap g in
-    fun id -> List.assoc id alap - List.assoc id asap
+    let table = Hashtbl.create 64 in
+    List.iter (fun (id, level) -> Hashtbl.replace table id level) (Analysis.alap g);
+    List.iter
+      (fun (id, level) -> Hashtbl.replace table id (Hashtbl.find table id - level))
+      (Analysis.asap g);
+    Hashtbl.find table
   in
   let grey =
     Graph.node_ids g

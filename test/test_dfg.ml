@@ -249,6 +249,32 @@ let prop_unroll_preserves_validity =
         && Analysis.rec_mii parallel >= 1
         && Analysis.rec_mii serial >= base)
 
+(* Graph.edges against its original quadratic definition: sources in
+   ascending id order, each source's edges in insertion order. *)
+let random_graph_gen =
+  QCheck.Gen.(
+    1 -- 30 >>= fun n ->
+    list_size (0 -- 80) (triple (int_bound (n - 1)) (int_bound (n - 1)) (int_bound 2))
+    >>= fun edges -> opt (int_bound (n - 1)) >>= fun removed -> return (n, edges, removed))
+
+let prop_edges_order =
+  QCheck.Test.make ~name:"Graph.edges = quadratic reference, same order" ~count:200
+    (QCheck.make random_graph_gen)
+    (fun (n, edges, removed) ->
+      let g =
+        List.fold_left (fun g _ -> fst (Graph.add_node g Op.Add)) Graph.empty (List.init n Fun.id)
+      in
+      let g =
+        List.fold_left
+          (fun g (src, dst, distance) -> Graph.add_edge ~distance g src dst)
+          g edges
+      in
+      let g = match removed with Some id -> Graph.remove_node g id | None -> g in
+      let reference =
+        List.fold_left (fun acc id -> acc @ Graph.successors g id) [] (Graph.node_ids g)
+      in
+      Graph.edges g = reference && Graph.edge_count g = List.length reference)
+
 let suite =
   [
     ("graph basics", `Quick, test_graph_basics);
@@ -274,4 +300,5 @@ let suite =
     ("dead code elimination", `Quick, test_dce);
     ("dot export", `Quick, test_dot_export);
     QCheck_alcotest.to_alcotest prop_unroll_preserves_validity;
+    QCheck_alcotest.to_alcotest prop_edges_order;
   ]

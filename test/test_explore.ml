@@ -425,6 +425,85 @@ let test_sweep_timeout_skips () =
   | [ { Outcome.per_kernel = [ (_, Outcome.Timed_out) ]; _ } ] -> ()
   | _ -> Alcotest.fail "expected a single timed-out pair"
 
+(* ---------------- Cache keys ---------------- *)
+
+let read_lines path =
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> l <> "")
+
+(* golden/cache_keys.txt holds Cache.key for every registered kernel x
+   unroll {1,2} x three points, as written before key stats were
+   memoized per kernel (regenerate with test/gen/gen_cache_keys.exe).
+   Keys are persisted in WAL files, so they must not move a byte. *)
+let cache_keys_path = "golden/cache_keys.txt"
+
+let key_of_line line =
+  match String.split_on_char '|' line with
+  | point :: name :: _ -> (
+    match (Space.of_string point, Iced_kernels.Registry.by_name name) with
+    | Some p, Some k -> (p, k)
+    | _ -> Alcotest.failf "fixture line names an unknown point or kernel: %s" line)
+  | _ -> Alcotest.failf "malformed cache key line: %s" line
+
+let test_cache_key_fixture () =
+  let lines = read_lines cache_keys_path in
+  let kernels = Iced_kernels.Registry.all in
+  Alcotest.(check int) "one key per kernel x unroll x point" (List.length kernels * 2 * 3)
+    (List.length lines);
+  List.iter
+    (fun line ->
+      let p, k = key_of_line line in
+      (* twice: the first call may fill the kernel's stats slot, the
+         second reads it *)
+      Alcotest.(check string) "key" line (Cache.key p k);
+      Alcotest.(check string) "key again" line (Cache.key p k))
+    lines;
+  let names ks = List.sort_uniq compare (List.map (fun (k : Iced_kernels.Kernel.t) -> k.name) ks) in
+  Alcotest.(check (list string)) "every kernel covered" (names kernels)
+    (names (List.map (fun line -> snd (key_of_line line)) lines))
+
+(* Two domains race to fill the compute-once slots of fresh kernel
+   records: both must see one physical unrolled graph per kernel and
+   the fixture's keys. *)
+let test_kernel_memo_two_domains () =
+  let module K = Iced_kernels.Kernel in
+  let fresh (k : K.t) =
+    K.make ~name:k.name ~domain:k.domain ~data:k.data ~dfg:k.dfg ~unroll_shared:k.unroll_shared
+      ~serial_phis:k.serial_phis ~table:k.table ~binding:k.binding ~iterations:k.iterations ()
+  in
+  let lines = read_lines cache_keys_path in
+  let expected = List.map (fun line -> (key_of_line line, line)) lines in
+  let kernels = List.map fresh Iced_kernels.Registry.all in
+  let fixture_for (k : K.t) =
+    List.filter_map
+      (fun ((p, (k' : K.t)), line) -> if k'.name = k.name then Some (p, line) else None)
+      expected
+  in
+  let ready = Atomic.make 0 in
+  let work () =
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    List.map
+      (fun k ->
+        let keys = List.map (fun (p, _) -> Cache.key p k) (fixture_for k) in
+        (K.dfg_at k ~factor:2, keys))
+      kernels
+  in
+  let other = Domain.spawn work in
+  let mine = work () in
+  let theirs = Domain.join other in
+  List.iter2
+    (fun (k : K.t) ((g1, keys1), (g2, keys2)) ->
+      Alcotest.(check bool) (k.name ^ ": one unrolled graph") true (g1 == g2);
+      Alcotest.(check bool) (k.name ^ ": slot holds it") true (K.dfg_at k ~factor:2 == g1);
+      let want = List.map snd (fixture_for k) in
+      Alcotest.(check (list string)) (k.name ^ ": keys, this domain") want keys1;
+      Alcotest.(check (list string)) (k.name ^ ": keys, other domain") want keys2)
+    kernels (List.combine mine theirs)
+
 let suite =
   [
     ("space: enumeration is valid", `Quick, test_space_enumerate_valid);
@@ -450,4 +529,6 @@ let suite =
     ("sweep: smoke over a tiny space", `Quick, test_sweep_smoke_results);
     ("sweep: per-point timeout skips", `Quick, test_sweep_timeout_skips);
     ("sweep: mapper telemetry accumulates", `Quick, test_sweep_mapper_stats);
+    ("cache: keys match the persisted fixture", `Quick, test_cache_key_fixture);
+    ("cache: kernel memo filled from 2 domains", `Quick, test_kernel_memo_two_domains);
   ]

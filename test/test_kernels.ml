@@ -92,6 +92,100 @@ let test_unroll_factor_guard () =
     (Invalid_argument "Kernel.dfg_at: only unroll factors 1 and 2 are modeled") (fun () ->
       ignore (Kernel.dfg_at fir ~factor:3))
 
+(* ---------------- Compute-once analysis ---------------- *)
+
+module Analysis = Iced_dfg.Analysis
+
+(* The pre-memo definitions, over a fresh enumeration. *)
+let reference g =
+  let cycles = Analysis.enumerate_cycles g in
+  let mii = List.fold_left (fun acc c -> max acc (Analysis.cycle_mii c)) 1 cycles in
+  let dedup = List.sort_uniq compare in
+  let critical =
+    dedup
+      (List.concat_map
+         (fun (c : Analysis.cycle) -> if Analysis.cycle_mii c = mii then c.members else [])
+         cycles)
+  in
+  let secondary =
+    match cycles with
+    | [] -> []
+    | _ ->
+      let longest = List.fold_left (fun acc (c : Analysis.cycle) -> max acc c.length) 0 cycles in
+      cycles
+      |> List.filter (fun (c : Analysis.cycle) -> c.length * 2 <= longest)
+      |> List.concat_map (fun (c : Analysis.cycle) -> c.members)
+      |> List.filter (fun id -> not (List.mem id critical))
+      |> dedup
+  in
+  (cycles, mii, critical, secondary)
+
+(* More graphs than the memo holds (16 per domain), visited in a random
+   interleaving: an entry served for the wrong graph, or kept past its
+   eviction with wrong contents, shows as a mismatch.  Factor-2 unrolls
+   give each graph a distinct cycle structure. *)
+let prop_memo_matches_fresh =
+  QCheck.Test.make ~name:"memoized cycle analysis = fresh enumeration" ~count:15
+    QCheck.(pair small_nat (list_of_size Gen.(60 -- 150) (int_bound 39)))
+    (fun (seed, visits) ->
+      let graphs =
+        Array.init 40 (fun i ->
+            let g = Synth.dfg ~nodes:(8 + (i * 3 mod 37)) ~seed:(seed + i) in
+            if i mod 2 = 0 then g
+            else
+              Iced_dfg.Transform.unroll g
+                ~spec:{ Iced_dfg.Transform.factor = 2; shared = []; serial_phis = [] })
+      in
+      let expected = Array.map reference graphs in
+      List.for_all
+        (fun i ->
+          let g = graphs.(i) in
+          (Analysis.recurrence_cycles g, Analysis.rec_mii g, Analysis.critical_nodes g,
+           Analysis.secondary_cycle_nodes g)
+          = expected.(i))
+        visits)
+
+let count_alive weak =
+  let n = ref 0 in
+  for i = 0 to Weak.length weak - 1 do
+    if Weak.check weak i then incr n
+  done;
+  !n
+
+let test_analysis_memo_bounded () =
+  let n = 64 in
+  let weak = Weak.create n in
+  for i = 0 to n - 1 do
+    let g = Synth.dfg ~nodes:(8 + i) ~seed:i in
+    ignore (Sys.opaque_identity (Analysis.rec_mii g));
+    Weak.set weak i (Some g)
+  done;
+  Gc.full_major ();
+  let alive = count_alive weak in
+  if alive > 16 then Alcotest.failf "memo retains %d of %d graphs, cap is 16" alive n
+
+let test_dfg_at_shared () =
+  List.iter
+    (fun (k : Kernel.t) ->
+      let g2 = Kernel.dfg_at k ~factor:2 in
+      Alcotest.(check bool) (k.name ^ " uf2 graph shared") true (Kernel.dfg_at k ~factor:2 == g2);
+      Alcotest.(check bool) (k.name ^ " uf1 is the hand-built graph") true
+        (Kernel.dfg_at k ~factor:1 == k.dfg);
+      List.iter
+        (fun factor ->
+          let g = Kernel.dfg_at k ~factor in
+          let _, mii, _, _ = reference g in
+          Alcotest.(check (triple int int int))
+            (Printf.sprintf "%s stats_at %d" k.name factor)
+            (Iced_dfg.Graph.node_count g, Iced_dfg.Graph.edge_count g, mii)
+            (Kernel.stats_at k ~factor))
+        [ 1; 2 ])
+    all;
+  let fir = Option.get (Registry.by_name "fir") in
+  Alcotest.check_raises "stats_at factor 3"
+    (Invalid_argument "Kernel.dfg_at: only unroll factors 1 and 2 are modeled") (fun () ->
+      ignore (Kernel.stats_at fir ~factor:3))
+
 (* ---------------- Golden semantics ---------------- *)
 
 let interpret (k : Kernel.t) n = Iced_sim.Sim.interpret ~binding:k.binding k.dfg ~iterations:n
@@ -266,4 +360,7 @@ let suite =
     ("conv golden semantics", `Quick, test_conv_golden);
     ("gemm golden semantics", `Quick, test_gemm_golden);
     ("all kernels deterministic", `Quick, test_all_kernels_deterministic);
+    QCheck_alcotest.to_alcotest prop_memo_matches_fresh;
+    ("analysis memo is bounded", `Quick, test_analysis_memo_bounded);
+    ("dfg_at and stats_at computed once", `Quick, test_dfg_at_shared);
   ]
